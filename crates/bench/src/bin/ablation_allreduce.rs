@@ -30,7 +30,7 @@ use hetero_hsi::config::{AlgoParams, RunOptions};
 use repro_bench::microjson::{object, Json};
 use repro_bench::{print_table, write_csv, write_report};
 use simnet::engine::{Engine, WireVec};
-use simnet::{coll, CollAlgorithm, CollectiveConfig, Platform};
+use simnet::{coll, CollAlgorithm, CollectiveConfig, Membership, Platform};
 
 /// A gathered ATDCA/UFCLS candidate: 128 header bits + 224 f32 bands.
 const CAND_BITS: u64 = 128 + 224 * 32;
@@ -72,12 +72,14 @@ fn run_allreduce(
         ..CollectiveConfig::linear()
     };
     let bytes = (bits / 8) as usize;
+    let all = Membership::new(platform.num_procs());
     let report = Engine::new(platform.clone()).run(|ctx| {
         let own = vec![ctx.rank() as u8; bytes];
         coll::allreduce(
             ctx,
             &cfg,
             0,
+            &all,
             WireVec(own),
             |a, b| {
                 WireVec(
@@ -89,6 +91,7 @@ fn run_allreduce(
             },
             bits,
         )
+        .expect("valid allreduce")
         .0
         .len()
     });
@@ -104,9 +107,12 @@ fn run_allreduce(
 fn run_split_baseline(platform: &Platform, bits: u64) -> f64 {
     let cfg = CollectiveConfig::linear();
     let bytes = (bits / 8) as usize;
+    let all = Membership::new(platform.num_procs());
     Engine::new(platform.clone())
         .run(|ctx| {
-            let winner = coll::gather(ctx, &cfg, 0, WireVec(vec![ctx.rank() as u8; bytes]), bits)
+            let own = WireVec(vec![ctx.rank() as u8; bytes]);
+            let winner = coll::gather(ctx, &cfg, 0, &all, own, bits)
+                .expect("valid gather")
                 .map(|entries| {
                     entries
                         .into_iter()
@@ -114,7 +120,7 @@ fn run_split_baseline(platform: &Platform, bits: u64) -> f64 {
                         .next()
                         .expect("root contribution")
                 });
-            coll::broadcast(ctx, &cfg, 0, winner, bits)
+            coll::broadcast(ctx, &cfg, 0, &all, winner, bits)
                 .expect("valid broadcast")
                 .0
                 .len()

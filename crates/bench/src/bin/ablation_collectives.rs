@@ -27,7 +27,7 @@ use hetero_hsi::config::{AlgoParams, RunOptions};
 use repro_bench::microjson::{object, Json};
 use repro_bench::{print_table, write_csv, write_report};
 use simnet::engine::{Engine, WireVec};
-use simnet::{coll, CollAlgorithm, CollOp, CollectiveConfig, Platform};
+use simnet::{coll, CollAlgorithm, CollOp, CollectiveConfig, Membership, Platform};
 
 /// Tolerance for "Auto is no worse than the best concrete algorithm".
 const EPS: f64 = 1e-9;
@@ -72,6 +72,7 @@ fn run_collective(
     let cfg = CollectiveConfig::uniform(requested);
     let engine = Engine::new(platform.clone());
     let bytes = (bits / 8) as usize;
+    let all = Membership::new(platform.num_procs());
     let report = engine.run(|ctx| match op {
         CollOp::Broadcast => {
             let msg = if ctx.is_root() {
@@ -79,12 +80,12 @@ fn run_collective(
             } else {
                 None
             };
-            let out = coll::broadcast(ctx, &cfg, 0, msg, bits).expect("valid broadcast");
+            let out = coll::broadcast(ctx, &cfg, 0, &all, msg, bits).expect("valid broadcast");
             out.0.len()
         }
         CollOp::Gather => {
-            let entries = coll::gather(ctx, &cfg, 0, WireVec(vec![0u8; bytes]), bits);
-            entries.map_or(0, |e| e.len())
+            let entries = coll::gather(ctx, &cfg, 0, &all, WireVec(vec![0u8; bytes]), bits);
+            entries.expect("valid gather").map_or(0, |e| e.len())
         }
         other => unreachable!("sweep only covers broadcast/gather, got {other}"),
     });

@@ -11,8 +11,8 @@
 
 use hetero_hsi::config::{AlgoParams, RunOptions};
 use repro_bench::{build_scene, print_table, run_algorithm, write_csv};
-use simnet::comm::ScatterMode;
 use simnet::engine::Engine;
+use simnet::ScatterMode;
 
 fn main() {
     let scene = build_scene();

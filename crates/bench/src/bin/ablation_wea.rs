@@ -13,8 +13,8 @@
 use hetero_hsi::config::{AlgoParams, PartitionStrategy, RunOptions};
 use hetero_hsi::wea::{WeaConfig, WeaLinkModel};
 use repro_bench::{build_scene, print_table, run_algorithm, write_csv};
-use simnet::comm::ScatterMode;
 use simnet::engine::Engine;
+use simnet::ScatterMode;
 
 fn main() {
     let scene = build_scene();

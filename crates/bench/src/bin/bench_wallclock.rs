@@ -36,7 +36,7 @@ use hetero_hsi::config::{AlgoParams, RunOptions};
 use repro_bench::microjson::{object, Json};
 use repro_bench::{print_table, run_algorithm, write_report, ALGORITHMS};
 use simnet::engine::{Engine, WireVec};
-use simnet::{coll, CollAlgorithm, CollectiveConfig, CopyStats};
+use simnet::{coll, CollAlgorithm, CollectiveConfig, CopyStats, Membership};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -185,19 +185,20 @@ fn main() {
         for algorithm in TREE_ALGOS {
             let cfg = CollectiveConfig::uniform(algorithm);
             let bits = (U_BYTES * 8) as u64;
+            let all = Membership::new(network.num_procs());
 
             let shared_payload: Arc<WireVec<u8>> = Arc::new(WireVec(vec![0u8; U_BYTES]));
             let engine = Engine::new(network.clone());
             let shared_report = engine.run(|ctx| {
                 let msg = ctx.is_root().then(|| Arc::clone(&shared_payload));
-                let out = coll::broadcast(ctx, &cfg, 0, msg, bits).expect("valid broadcast");
+                let out = coll::broadcast(ctx, &cfg, 0, &all, msg, bits).expect("valid broadcast");
                 out.0.len()
             });
 
             let engine = Engine::new(network.clone());
             let owned_report = engine.run(|ctx| {
                 let msg = ctx.is_root().then(|| WireVec(vec![0u8; U_BYTES]));
-                let out = coll::broadcast(ctx, &cfg, 0, msg, bits).expect("valid broadcast");
+                let out = coll::broadcast(ctx, &cfg, 0, &all, msg, bits).expect("valid broadcast");
                 out.0.len()
             });
 

@@ -15,7 +15,7 @@ use hetero_hsi::sched::{AtdcaChunks, MorphChunks, PctChunks, UfclsChunks};
 use hetero_hsi::{seq, ChunkedAlgo, OutputDigest};
 use simnet::accel::cost::predict_offload;
 use simnet::engine::{Engine, WireVec};
-use simnet::{coll, CollOp, CollectiveConfig, DeviceSim, DeviceSpec};
+use simnet::{coll, CollOp, CollectiveConfig, DeviceSim, DeviceSpec, Membership};
 use testutil::gen::FaultEvent;
 
 /// The seven standing invariants, in oracle order.
@@ -316,12 +316,14 @@ impl Oracle {
             ..CollectiveConfig::linear()
         };
         let bits = (64 * 32) as u64;
+        let all = Membership::new(platform.num_procs());
         let probe = Engine::new(platform.clone()).run(|ctx| {
             let own = vec![ctx.rank() as u32; 64];
             coll::allreduce(
                 ctx,
                 &cfg,
                 0,
+                &all,
                 WireVec(own),
                 |x, y| {
                     WireVec(
@@ -333,6 +335,7 @@ impl Oracle {
                 },
                 bits,
             )
+            .expect("every rank is a member")
             .0
             .len()
         });

@@ -2,7 +2,7 @@
 
 use crate::wea::WeaConfig;
 use simnet::coll::CollectiveConfig;
-use simnet::comm::ScatterMode;
+use simnet::ScatterMode;
 
 /// Parameters of the analysis algorithms, defaulting to the paper's
 /// experimental settings.

@@ -11,10 +11,9 @@ use crate::par::{best_candidate, better_candidate};
 use crate::wea::{self, RowAssignment, RowCost};
 use hsi_cube::{HyperCube, LabelImage};
 use simnet::coll::{self, CollAlgorithm, CollectiveConfig, GatherEntry};
-use simnet::comm::ScatterMode;
 use simnet::engine::Engine;
 use simnet::report::RunReport;
-use simnet::Ctx;
+use simnet::{Ctx, Membership, ScatterMode};
 
 /// A rank's local share of the image.
 #[derive(Debug, Clone)]
@@ -155,7 +154,10 @@ pub fn gather_labels(
         first_line: block.first_line as u32,
         labels,
     };
-    coll::gather(ctx, cfg, 0, msg, bits).map(|entries| {
+    let all = Membership::new(ctx.num_ranks());
+    let entries =
+        coll::gather(ctx, cfg, 0, &all, msg, bits).expect("gather_labels: every rank is a member");
+    entries.map(|entries| {
         let mut out = LabelImage::unlabeled(image_lines, image_samples);
         for msg in entries.into_iter().filter_map(GatherEntry::into_msg) {
             let (first, labs) = msg
@@ -261,11 +263,13 @@ pub(crate) fn select_winner(
     rescore_flops: f64,
     post_mflops: f64,
 ) -> Candidate {
+    let all = Membership::new(ctx.num_ranks());
     if options.collectives.allreduce != CollAlgorithm::Linear {
         let winner = coll::allreduce(
             ctx,
             &options.collectives,
             0,
+            &all,
             Msg::candidate(candidate),
             |a, b| {
                 Msg::candidate(better_candidate(
@@ -277,6 +281,7 @@ pub(crate) fn select_winner(
             },
             cand_bits,
         )
+        .expect("select_winner: every rank is a member")
         .into_candidate()
         .expect("select_winner: protocol violation");
         if post_mflops > 0.0 {
@@ -288,9 +293,11 @@ pub(crate) fn select_winner(
         ctx,
         &options.collectives,
         0,
+        &all,
         Msg::candidate(candidate),
         cand_bits,
     )
+    .expect("select_winner: every rank is a member")
     .map(|entries| {
         let cands: Vec<Candidate> = entries
             .into_iter()
@@ -311,6 +318,7 @@ pub(crate) fn select_winner(
             ctx,
             &options.collectives,
             0,
+            &all,
             selected,
             u_row_bits,
             |ctx, _chunk, k| {
@@ -320,7 +328,7 @@ pub(crate) fn select_winner(
             },
         )
     } else {
-        let d = coll::broadcast(ctx, &options.collectives, 0, selected, u_row_bits);
+        let d = coll::broadcast(ctx, &options.collectives, 0, &all, selected, u_row_bits);
         if post_mflops > 0.0 {
             ctx.compute_par(post_mflops);
         }

@@ -514,7 +514,7 @@ fn worker_loop_tree<A: ChunkedAlgo>(
             },
         };
         let view = Membership::from_survivors(epoch, p, &survivors);
-        let tree = coll::tree_over(ctx, algorithm, 0, &view);
+        let tree = coll::tree(ctx, algorithm, 0, &view);
         let parent = tree
             .parent(me)
             .expect("ft: a surviving worker has a tree parent");
@@ -712,7 +712,7 @@ fn start_round_tree<S, P>(
     P: Send + 'static,
 {
     let requested = normalize_tree_algo(cfg.broadcast);
-    let resolved = coll::resolve_over(
+    let resolved = coll::resolve(
         ctx,
         CollOp::Broadcast,
         requested,
@@ -735,7 +735,7 @@ fn start_round_tree<S, P>(
             },
         );
     }
-    let tree = coll::tree_over(ctx, algorithm, 0, view);
+    let tree = coll::tree(ctx, algorithm, 0, view);
     let shared = Arc::new(state.clone());
     for &c in tree.children_bcast(0) {
         ctx.send(

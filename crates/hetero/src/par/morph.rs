@@ -27,7 +27,7 @@ use crate::msg::Msg;
 use crate::wea::RowCost;
 use hsi_cube::{HyperCube, LabelImage};
 use hsi_morpho::StructuringElement;
-use simnet::coll::{self, GatherEntry};
+use simnet::coll::{self, GatherEntry, Membership};
 use simnet::engine::Engine;
 
 /// Estimated per-row resource demand (drives the WEA fractions).
@@ -105,13 +105,16 @@ pub fn run(
         let n = block.cube.bands();
         let cands_bits = (params.num_classes as u64) * (128 + 32 * n as u64);
         let reps_bits = (params.num_classes * n * 32) as u64;
+        let all = Membership::new(ctx.num_ranks());
         let entries = coll::gather(
             ctx,
             &options.collectives,
             0,
+            &all,
             Msg::candidates(cands),
             cands_bits,
-        );
+        )
+        .expect("morph: every rank is a member");
         let merged = entries.map(|entries| {
             let mut scored: Vec<(Vec<f32>, f64)> = Vec::new();
             for msg in entries.into_iter().filter_map(GatherEntry::into_msg) {
@@ -124,10 +127,11 @@ pub fn run(
             ctx.compute_seq(mflops);
             Msg::spectra(reps)
         });
-        let reps: Vec<Vec<f32>> = coll::broadcast(ctx, &options.collectives, 0, merged, reps_bits)
-            .expect("morph: broadcast misuse")
-            .into_spectra()
-            .expect("morph: protocol violation");
+        let reps: Vec<Vec<f32>> =
+            coll::broadcast(ctx, &options.collectives, 0, &all, merged, reps_bits)
+                .expect("morph: broadcast misuse")
+                .into_spectra()
+                .expect("morph: protocol violation");
 
         // Step 4: SAD labelling of the owned lines.
         let (labels, mflops) = kernels::sad_label(&block.cube, block.own_range(), &reps);

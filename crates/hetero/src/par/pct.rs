@@ -30,7 +30,7 @@ use hsi_cube::{HyperCube, LabelImage};
 use hsi_linalg::covariance::CovarianceAccumulator;
 use hsi_linalg::eigen::SymmetricEigen;
 use hsi_linalg::Matrix;
-use simnet::coll::{self, GatherEntry};
+use simnet::coll::{self, GatherEntry, Membership};
 use simnet::engine::Engine;
 
 /// Estimated per-row resource demand (drives the WEA fractions).
@@ -105,20 +105,25 @@ pub fn run(
         let model_bits = ((c.min(n) * n + n + c * c.min(n)) * 64) as u64;
 
         // Steps 3 & 6 gathers: unique sets, then covariance partials.
+        let all = Membership::new(ctx.num_ranks());
         let cand_entries = coll::gather(
             ctx,
             &options.collectives,
             0,
+            &all,
             Msg::candidates(local_cands),
             cands_bits,
-        );
+        )
+        .expect("pct: every rank is a member");
         let stat_entries = coll::gather(
             ctx,
             &options.collectives,
             0,
+            &all,
             Msg::Stats(acc.to_flat()),
             stats_bits,
-        );
+        )
+        .expect("pct: every rank is a member");
 
         let selected = cand_entries.map(|cand_entries| {
             // Merge unique sets (step 3) in rank order.
@@ -165,7 +170,7 @@ pub fn run(
 
         // Broadcast the model; every rank (root included) decodes it.
         let (transform, mean, classes) =
-            coll::broadcast(ctx, &options.collectives, 0, selected, model_bits)
+            coll::broadcast(ctx, &options.collectives, 0, &all, selected, model_bits)
                 .expect("pct: broadcast misuse")
                 .into_pct_model()
                 .expect("pct: protocol violation");

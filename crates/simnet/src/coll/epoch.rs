@@ -11,13 +11,11 @@
 //!   [`RankFailure`]; workers rebuild their copy from the `(epoch,
 //!   survivors)` header the master piggybacks on the first send of each
 //!   round ([`Membership::from_survivors`]).
-//! * `*_over` collectives — [`broadcast_over`], [`gather_over`],
-//!   [`reduce_over`], [`allreduce_over`]: the same wire protocols as
-//!   their classic counterparts, but every schedule (linear, binomial,
-//!   segment-hierarchical, pipelined) is rebuilt over the view's
-//!   survivor set, so known-dead relays are routed *around*. With every
-//!   rank alive the schedules — and therefore the bits and virtual
-//!   times — are identical to the classic collectives.
+//! * the collectives of [`crate::coll`] — every one takes a view and
+//!   rebuilds its schedule (linear, binomial, segment-hierarchical,
+//!   pipelined) over the view's survivor set, so known-dead relays are
+//!   routed *around*. With every rank alive the schedules span every
+//!   rank.
 //! * [`Stamped`] + [`recv_epoch`] — epoch validation for composed
 //!   protocols: messages carrying a stamp from a superseded view are
 //!   rejected with a structured [`CollError::EpochMismatch`] instead of
@@ -28,22 +26,16 @@
 //! functions of `(view, algorithm, platform)`, and
 //! [`crate::coll::predict_over`] replays the survivor schedule exactly.
 
-use super::schedule::{self, Tree};
-use super::{
-    broadcast_pipelined, cost, run_broadcast_tree, run_gather, run_reduce_tree, CollAlgorithm,
-    CollError, CollOp, CollectiveChoice, CollectiveConfig, GatherEntry,
-};
+use super::CollError;
 use crate::engine::{Ctx, Wire};
 use crate::faults::{FailureCause, RankFailure};
-use crate::platform::Platform;
 
 /// An epoch-stamped view of which ranks are alive.
 ///
 /// The epoch is a monotone counter that bumps on every *newly* observed
 /// failure, so two views with the same epoch (derived from the same
 /// observation sequence) agree on the survivor set — the property the
-/// `*_over` collectives rely on when every participant passes the same
-/// view.
+/// collectives rely on when every participant passes the same view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Membership {
     epoch: u64,
@@ -88,9 +80,10 @@ impl Membership {
         self.alive.len()
     }
 
-    /// `true` while `rank` has no observed failure in this view.
+    /// `true` while `rank` is one of the view's ranks and has no
+    /// observed failure in it.
     pub fn is_alive(&self, rank: usize) -> bool {
-        self.alive[rank]
+        self.alive.get(rank).copied().unwrap_or(false)
     }
 
     /// The surviving ranks, ascending.
@@ -177,292 +170,6 @@ pub fn recv_epoch<M: Wire + Stamped>(
     }
 }
 
-fn check_member(view: &Membership, rank: usize) -> Result<(), CollError> {
-    if view.is_alive(rank) {
-        Ok(())
-    } else {
-        Err(CollError::NotAMember { rank })
-    }
-}
-
-/// [`super::select`] over a survivor set: resolves a requested algorithm
-/// to the concrete one that will run and its predicted cost on the
-/// degraded topology ([`cost::predict_over`]). Deterministic in its
-/// arguments, so every surviving rank resolves identically.
-#[allow(clippy::too_many_arguments)] // mirrors `select` plus the member set
-pub fn select_over(
-    platform: &Platform,
-    latency_s: f64,
-    op: CollOp,
-    requested: CollAlgorithm,
-    root: usize,
-    bits: u64,
-    pipeline_chunks: u32,
-    members: &[usize],
-) -> (CollAlgorithm, f64) {
-    let normalize = |alg: CollAlgorithm| match (op, alg) {
-        (CollOp::Broadcast, a) => a,
-        (_, CollAlgorithm::PipelinedChunked) => CollAlgorithm::SegmentHierarchical,
-        (_, a) => a,
-    };
-    let predict = |alg| {
-        cost::predict_over(
-            platform,
-            latency_s,
-            op,
-            alg,
-            root,
-            bits,
-            pipeline_chunks,
-            members,
-        )
-    };
-    if requested != CollAlgorithm::Auto {
-        let alg = normalize(requested);
-        return (alg, predict(alg));
-    }
-    if bits == 0 {
-        // Same rule as `select`: a zero hint carries no size
-        // information, fall back to the baseline.
-        return (CollAlgorithm::Linear, predict(CollAlgorithm::Linear));
-    }
-    let candidates: &[CollAlgorithm] = match op {
-        CollOp::Broadcast => &[
-            CollAlgorithm::Linear,
-            CollAlgorithm::BinomialTree,
-            CollAlgorithm::SegmentHierarchical,
-            CollAlgorithm::PipelinedChunked,
-        ],
-        _ => &[
-            CollAlgorithm::Linear,
-            CollAlgorithm::BinomialTree,
-            CollAlgorithm::SegmentHierarchical,
-        ],
-    };
-    let mut best = CollAlgorithm::Linear;
-    let mut best_cost = f64::INFINITY;
-    for &alg in candidates {
-        let cost = predict(alg);
-        // Strict `<` keeps the earliest candidate on ties, like `select`.
-        if cost < best_cost {
-            best = alg;
-            best_cost = cost;
-        }
-    }
-    (best, best_cost)
-}
-
-/// Resolves over the survivor set on every member identically and
-/// records the choice when rank 0 participates (rank 0's log is the
-/// canonical one the engine collects).
-fn resolve_and_log_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    op: CollOp,
-    requested: CollAlgorithm,
-    root: usize,
-    bits_hint: u64,
-    pipeline_chunks: u32,
-    view: &Membership,
-) -> CollAlgorithm {
-    let (algorithm, predicted_secs) = select_over(
-        ctx.platform(),
-        ctx.msg_latency_s(),
-        op,
-        requested,
-        root,
-        bits_hint,
-        pipeline_chunks,
-        &view.survivors(),
-    );
-    if ctx.rank() == 0 {
-        ctx.log_collective(CollectiveChoice {
-            op,
-            requested,
-            algorithm,
-            bits: bits_hint,
-            predicted_secs,
-        });
-    }
-    algorithm
-}
-
-/// Resolves (and, on rank 0, logs) one collective decision over a
-/// survivor set — the driver-facing form of the resolution the `*_over`
-/// collectives do internally, for protocols (like `hetero::ft`) that
-/// run their own wire protocol over the survivor [`Tree`] but want the
-/// same cost-model-driven choice and [`CollectiveChoice`] observability.
-/// Deterministic in its arguments, so every participant that calls it
-/// with the same view resolves identically.
-pub fn resolve_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    op: CollOp,
-    requested: CollAlgorithm,
-    root: usize,
-    view: &Membership,
-    bits_hint: u64,
-    pipeline_chunks: u32,
-) -> CollAlgorithm {
-    resolve_and_log_over(ctx, op, requested, root, bits_hint, pipeline_chunks, view)
-}
-
-/// Builds the concrete schedule [`Tree`] for `algorithm` over the view's
-/// survivor set. [`CollAlgorithm::PipelinedChunked`] shares the
-/// segment-hierarchical tree; [`CollAlgorithm::Auto`] must be resolved
-/// to a concrete algorithm first (e.g. via [`resolve_over`]).
-pub fn tree_over<M: Wire>(
-    ctx: &Ctx<M>,
-    algorithm: CollAlgorithm,
-    root: usize,
-    view: &Membership,
-) -> Tree {
-    build_tree_over(ctx, algorithm, root, view)
-}
-
-fn build_tree_over<M: Wire>(
-    ctx: &Ctx<M>,
-    algorithm: CollAlgorithm,
-    root: usize,
-    view: &Membership,
-) -> Tree {
-    let p = ctx.num_ranks();
-    let members = view.survivors();
-    match algorithm {
-        CollAlgorithm::Linear => schedule::linear_over(root, &members, p),
-        CollAlgorithm::BinomialTree => schedule::binomial_over(root, &members, p),
-        CollAlgorithm::SegmentHierarchical | CollAlgorithm::PipelinedChunked => {
-            schedule::segment_hierarchical_over(root, ctx.platform(), &members)
-        }
-        CollAlgorithm::Auto => unreachable!("selection resolved before building"),
-    }
-}
-
-/// [`super::broadcast`] over a [`Membership`] view: only the view's
-/// survivors participate (every survivor must call; known-dead ranks are
-/// routed around). The root passes `Some(msg)`, every other survivor
-/// `None`; all participants return the payload. Every participant must
-/// pass the *same* view and `bits_hint` or schedules would disagree.
-pub fn broadcast_over<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: Option<M>,
-    bits_hint: u64,
-) -> Result<M, CollError> {
-    check_member(view, root)?;
-    check_member(view, ctx.rank())?;
-    let algorithm = resolve_and_log_over(
-        ctx,
-        CollOp::Broadcast,
-        cfg.broadcast,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-        view,
-    );
-    let tree = build_tree_over(ctx, algorithm, root, view);
-    if algorithm == CollAlgorithm::PipelinedChunked {
-        return broadcast_pipelined(ctx, &tree, msg, cfg.pipeline_chunks);
-    }
-    run_broadcast_tree(ctx, &tree, msg)
-}
-
-/// [`super::gather`] over a [`Membership`] view: survivors contribute
-/// over the survivor tree; the root's rank-indexed result reports every
-/// known-dead rank as [`GatherEntry::Lost`] with the view's recorded
-/// failure ([`Membership::lost_entry`]) — zero subtree loss for known
-/// failures, because no schedule edge touches a dead rank.
-pub fn gather_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: M,
-    bits_hint: u64,
-) -> Result<Option<Vec<GatherEntry<M>>>, CollError> {
-    check_member(view, root)?;
-    check_member(view, ctx.rank())?;
-    let algorithm = resolve_and_log_over(
-        ctx,
-        CollOp::Gather,
-        cfg.gather,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-        view,
-    );
-    let tree = build_tree_over(ctx, algorithm, root, view);
-    Ok(run_gather(ctx, &tree, root, msg, Some(view)))
-}
-
-/// [`super::reduce`] over a [`Membership`] view: survivors fold over the
-/// survivor tree (known-dead ranks contribute nothing and relay
-/// nothing). Fold-order caveats are those of [`super::reduce`], applied
-/// to the survivor list.
-pub fn reduce_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: M,
-    fold: impl Fn(M, M) -> M,
-    bits_hint: u64,
-) -> Result<Option<M>, CollError> {
-    check_member(view, root)?;
-    check_member(view, ctx.rank())?;
-    let algorithm = resolve_and_log_over(
-        ctx,
-        CollOp::Reduce,
-        cfg.reduce,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-        view,
-    );
-    if algorithm == CollAlgorithm::Linear {
-        // The legacy shape over survivors: linear gather + free
-        // rank-order fold, skipping the known-dead (Lost) entries.
-        let tree = schedule::linear_over(root, &view.survivors(), ctx.num_ranks());
-        return Ok(
-            run_gather(ctx, &tree, root, msg, Some(view)).map(|entries| {
-                let mut it = entries.into_iter().filter_map(GatherEntry::into_msg);
-                let first = it.next().expect("reduce_over: a surviving contribution");
-                it.fold(first, fold)
-            }),
-        );
-    }
-    let tree = build_tree_over(ctx, algorithm, root, view);
-    Ok(run_reduce_tree(ctx, &tree, msg, fold))
-}
-
-/// [`super::allreduce`] over a [`Membership`] view: survivors fold up
-/// and fan back down the survivor tree; every survivor returns the
-/// folded value. The fold contract (associative, size-preserving; see
-/// [`super::allreduce`]) applies to the survivor list.
-pub fn allreduce_over<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: M,
-    fold: impl Fn(M, M) -> M,
-    bits_hint: u64,
-) -> Result<M, CollError> {
-    check_member(view, root)?;
-    check_member(view, ctx.rank())?;
-    let algorithm = resolve_and_log_over(
-        ctx,
-        CollOp::Allreduce,
-        cfg.allreduce,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-        view,
-    );
-    let tree = build_tree_over(ctx, algorithm, root, view);
-    Ok(super::run_allreduce_tree(ctx, &tree, msg, fold))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,8 +242,9 @@ mod tests {
 
     #[test]
     fn single_survivor_collectives_are_identity_operations() {
-        // A view reduced to its root: every *_over collective must
-        // complete locally — no traffic, payload returned verbatim.
+        // A view reduced to its root: every collective must complete
+        // locally — no traffic, payload returned verbatim.
+        use crate::coll::{allreduce, broadcast, gather, CollAlgorithm};
         use crate::engine::{Engine, WireVec};
         let platform = crate::presets::fully_heterogeneous();
         let cfg = crate::coll::CollectiveConfig::uniform(CollAlgorithm::SegmentHierarchical);
@@ -545,9 +253,9 @@ mod tests {
                 return None;
             }
             let view = Membership::from_survivors(15, 16, &[0]);
-            let b = broadcast_over(ctx, &cfg, 0, &view, Some(WireVec(vec![9u32; 4])), 128)
+            let b = broadcast(ctx, &cfg, 0, &view, Some(WireVec(vec![9u32; 4])), 128)
                 .expect("sole member broadcasts to itself");
-            let a = allreduce_over(
+            let a = allreduce(
                 ctx,
                 &cfg,
                 0,
@@ -557,7 +265,7 @@ mod tests {
                 128,
             )
             .expect("sole member folds only itself");
-            let g = gather_over(ctx, &cfg, 0, &view, WireVec(vec![1u32]), 32)
+            let g = gather(ctx, &cfg, 0, &view, WireVec(vec![1u32]), 32)
                 .expect("sole member gathers itself")
                 .expect("the sole member is the root");
             Some((b.0, a.0, g.len(), ctx.elapsed()))
@@ -606,18 +314,5 @@ mod tests {
         // rebuilds the identical view.
         let shuffled = Membership::from_survivors(owner.epoch(), 9, &[8, 0, 5, 3, 6, 2, 1]);
         assert_eq!(shuffled, once);
-    }
-
-    #[test]
-    fn select_over_full_set_matches_select() {
-        let platform = crate::presets::fully_heterogeneous();
-        let members: Vec<usize> = (0..platform.num_procs()).collect();
-        for op in [CollOp::Broadcast, CollOp::Gather, CollOp::Allreduce] {
-            for requested in [CollAlgorithm::Auto, CollAlgorithm::SegmentHierarchical] {
-                let classic = super::super::select(&platform, 0.001, op, requested, 0, 129_024, 4);
-                let over = select_over(&platform, 0.001, op, requested, 0, 129_024, 4, &members);
-                assert_eq!(classic, over, "{op}/{requested}");
-            }
-        }
     }
 }

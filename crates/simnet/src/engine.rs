@@ -5,7 +5,7 @@
 //! other rank (per-pair FIFO channels, so messages between a pair arrive
 //! in send order — MPI's ordering guarantee). The API mirrors the MPI
 //! subset the paper's algorithms use: [`Ctx::send`] / [`Ctx::recv`] plus
-//! the collectives in [`crate::comm`].
+//! the collectives in [`crate::coll`].
 //!
 //! **Virtual time.** Computation is charged explicitly via
 //! [`Ctx::compute_par`] / [`Ctx::compute_seq`] in megaflops; the engine

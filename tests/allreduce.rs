@@ -12,7 +12,7 @@ use heterospec::hetero::config::{AlgoParams, RunOptions};
 use heterospec::hetero::par::{atdca, ufcls};
 use heterospec::simnet::engine::{Engine, WireVec};
 use heterospec::simnet::{
-    coll, presets, CollAlgorithm, CollOp, CollectiveConfig, FaultPlan, Platform,
+    coll, presets, CollAlgorithm, CollOp, CollectiveConfig, FaultPlan, Membership, Platform,
 };
 use testutil::{coords, random_platform as platform, tiny_scene, BACKENDS, RANK_COUNTS};
 
@@ -26,6 +26,7 @@ fn fold_everywhere(platform: &Platform, backend: CollAlgorithm, len: usize) -> V
         ..CollectiveConfig::linear()
     };
     let engine = Engine::new(platform.clone());
+    let all = Membership::new(platform.num_procs());
     let report = engine.run(|ctx| {
         let r = ctx.rank() as u32;
         let own: Vec<u32> = (0..len as u32).map(|i| r.wrapping_mul(i + 1)).collect();
@@ -33,6 +34,7 @@ fn fold_everywhere(platform: &Platform, backend: CollAlgorithm, len: usize) -> V
             ctx,
             &cfg,
             0,
+            &all,
             WireVec(own),
             |a, b| {
                 WireVec(
@@ -44,6 +46,7 @@ fn fold_everywhere(platform: &Platform, backend: CollAlgorithm, len: usize) -> V
             },
             (len * 32) as u64,
         )
+        .expect("valid allreduce")
         .0
     });
     (0..platform.num_procs())
@@ -116,21 +119,25 @@ fn linear_allreduce_is_bit_and_timing_identical_to_gather_plus_broadcast() {
     };
     for network in presets::four_networks() {
         let bits = (64 * 32) as u64;
+        let all = Membership::new(network.num_procs());
         let fused = Engine::new(network.clone()).run(|ctx| {
             let own: Vec<u32> = (0..64).map(|i| ctx.rank() as u32 + i).collect();
-            let out = coll::allreduce(ctx, &cfg, 0, WireVec(own), fold, bits);
+            let out = coll::allreduce(ctx, &cfg, 0, &all, WireVec(own), fold, bits)
+                .expect("valid allreduce");
             (out.0, ctx.elapsed())
         });
         let split = Engine::new(network.clone()).run(|ctx| {
             let own: Vec<u32> = (0..64).map(|i| ctx.rank() as u32 + i).collect();
-            let folded = coll::gather(ctx, &cfg, 0, WireVec(own), bits).map(|entries| {
+            let entries =
+                coll::gather(ctx, &cfg, 0, &all, WireVec(own), bits).expect("valid gather");
+            let folded = entries.map(|entries| {
                 entries
                     .into_iter()
                     .filter_map(coll::GatherEntry::into_msg)
                     .reduce(fold)
                     .expect("root folds its own contribution at least")
             });
-            let out = coll::broadcast(ctx, &cfg, 0, folded, bits).expect("valid broadcast");
+            let out = coll::broadcast(ctx, &cfg, 0, &all, folded, bits).expect("valid broadcast");
             (out.0, ctx.elapsed())
         });
         for r in 0..network.num_procs() {
@@ -172,12 +179,14 @@ fn predicted_allreduce_cost_equals_measured_virtual_time() {
                     allreduce: alg,
                     ..CollectiveConfig::linear()
                 };
+                let all = Membership::new(network.num_procs());
                 let report = Engine::new(network.clone()).run(|ctx| {
                     let own = vec![ctx.rank() as u32; len];
                     coll::allreduce(
                         ctx,
                         &cfg,
                         0,
+                        &all,
                         WireVec(own),
                         |a, b| {
                             WireVec(
@@ -189,6 +198,7 @@ fn predicted_allreduce_cost_equals_measured_virtual_time() {
                         },
                         bits,
                     )
+                    .expect("valid allreduce")
                     .0
                     .len()
                 });
@@ -230,6 +240,7 @@ fn auto_allreduce_is_never_dominated_on_the_mini_grid() {
             allreduce: backend,
             ..CollectiveConfig::linear()
         };
+        let all = Membership::new(platform.num_procs());
         Engine::new(platform.clone())
             .run(|ctx| {
                 let own = vec![ctx.rank() as u32; len];
@@ -237,6 +248,7 @@ fn auto_allreduce_is_never_dominated_on_the_mini_grid() {
                     ctx,
                     &cfg,
                     0,
+                    &all,
                     WireVec(own),
                     |a, b| {
                         WireVec(
@@ -248,6 +260,7 @@ fn auto_allreduce_is_never_dominated_on_the_mini_grid() {
                     },
                     (len * 32) as u64,
                 )
+                .expect("valid allreduce")
                 .0
                 .len()
             })
@@ -284,15 +297,18 @@ fn crashed_contributor_degrades_to_a_skipped_subtree() {
     };
     let engine =
         Engine::new(presets::fully_heterogeneous()).with_faults(FaultPlan::new().crash(3, 0.0));
+    let all = Membership::new(16);
     let report = engine.run(|ctx| {
         coll::allreduce(
             ctx,
             &cfg,
             0,
+            &all,
             WireVec(vec![1u32 << ctx.rank()]),
             |a, b| WireVec(vec![a.0[0] | b.0[0]]),
             32,
         )
+        .expect("valid allreduce")
         .0[0]
     });
     // Rank 3 crashed; its binomial parent (rank 2) dies forwarding the

@@ -8,7 +8,7 @@
 
 use heterospec::simnet::engine::{Engine, WireVec};
 use heterospec::simnet::{
-    coll, presets, CollAlgorithm, CollectiveConfig, FaultPlan, GatherEntry, Platform,
+    coll, presets, CollAlgorithm, CollectiveConfig, FaultPlan, GatherEntry, Membership, Platform,
 };
 use testutil::{random_platform as platform, BACKENDS, RANK_COUNTS};
 
@@ -22,17 +22,19 @@ fn exchange(platform: &Platform, backend: CollAlgorithm) -> Exchange {
     let cfg = CollectiveConfig::uniform(backend);
     let engine = Engine::new(platform.clone());
     let payload: Vec<u32> = (0..300).collect();
+    let all = Membership::new(platform.num_procs());
     let report = engine.run(|ctx| {
         let msg = if ctx.is_root() {
             Some(WireVec(payload.clone()))
         } else {
             None
         };
-        let bcast = coll::broadcast(ctx, &cfg, 0, msg, (300 * 32) as u64)
+        let bcast = coll::broadcast(ctx, &cfg, 0, &all, msg, (300 * 32) as u64)
             .expect("valid broadcast")
             .0;
         let tag = WireVec(vec![ctx.rank() as u32 + 10]);
-        let gathered = coll::gather(ctx, &cfg, 0, tag, 32).map(|entries| {
+        let entries = coll::gather(ctx, &cfg, 0, &all, tag, 32).expect("valid gather");
+        let gathered = entries.map(|entries| {
             entries
                 .into_iter()
                 .map(|e| e.into_msg().expect("healthy run").0[0])
@@ -45,10 +47,12 @@ fn exchange(platform: &Platform, backend: CollAlgorithm) -> Exchange {
             ctx,
             &cfg,
             0,
+            &all,
             own,
             |a, b| WireVec(vec![a.0[0].wrapping_add(b.0[0])]),
             32,
         )
+        .expect("valid reduce")
         .map(|v| v.0[0]);
         (bcast, gathered, reduced)
     });
@@ -99,14 +103,16 @@ fn reruns_are_bit_identical_including_choice_log() {
     let run_once = |backend: CollAlgorithm| {
         let cfg = CollectiveConfig::uniform(backend);
         let engine = Engine::new(presets::fully_heterogeneous());
+        let all = Membership::new(16);
         engine.run(|ctx| {
             let msg = if ctx.is_root() {
                 Some(WireVec(vec![7u8; 16_128]))
             } else {
                 None
             };
-            let b = coll::broadcast(ctx, &cfg, 0, msg, 129_024).expect("valid broadcast");
-            let g = coll::gather(ctx, &cfg, 0, WireVec(vec![ctx.rank() as u8]), 8);
+            let b = coll::broadcast(ctx, &cfg, 0, &all, msg, 129_024).expect("valid broadcast");
+            let own = WireVec(vec![ctx.rank() as u8]);
+            let g = coll::gather(ctx, &cfg, 0, &all, own, 8).expect("valid gather");
             (b.0.len(), g.map(|e| e.len()), ctx.elapsed())
         })
     };
@@ -140,13 +146,14 @@ fn link_outage_delays_but_never_corrupts_collectives() {
             engine = engine.with_faults(FaultPlan::new().link_outage(0, 1, 0.0, 0.05));
         }
         let engine = engine;
+        let all = Membership::new(16);
         engine.run(|ctx| {
             let msg = if ctx.is_root() {
                 Some(WireVec(payload.clone()))
             } else {
                 None
             };
-            let out = coll::broadcast(ctx, &cfg, 0, msg, (4032 * 32) as u64)
+            let out = coll::broadcast(ctx, &cfg, 0, &all, msg, (4032 * 32) as u64)
                 .expect("valid broadcast")
                 .0;
             (out, ctx.elapsed())
@@ -181,10 +188,12 @@ fn gather_marks_crashed_rank_as_lost_hole() {
     let cfg = CollectiveConfig::linear();
     let engine =
         Engine::new(presets::fully_heterogeneous()).with_faults(FaultPlan::new().crash(3, 0.0));
+    let all = Membership::new(16);
     let report = engine.run(|ctx| {
         // Rank 3's plan crashes it at t=0: the engine converts its send
         // into a failure marker and the root sees an explicit hole.
-        coll::gather(ctx, &cfg, 0, ctx.rank() as u64, 64).map(|entries| {
+        let entries = coll::gather(ctx, &cfg, 0, &all, ctx.rank() as u64, 64);
+        entries.expect("valid gather").map(|entries| {
             entries
                 .iter()
                 .map(GatherEntry::is_lost)
@@ -208,6 +217,7 @@ fn auto_is_never_dominated_on_the_mini_grid() {
     let bcast_time = |platform: &Platform, backend: CollAlgorithm, bits: u64| {
         let cfg = CollectiveConfig::uniform(backend);
         let engine = Engine::new(platform.clone());
+        let all = Membership::new(platform.num_procs());
         engine
             .run(|ctx| {
                 let msg = if ctx.is_root() {
@@ -215,7 +225,7 @@ fn auto_is_never_dominated_on_the_mini_grid() {
                 } else {
                     None
                 };
-                coll::broadcast(ctx, &cfg, 0, msg, bits)
+                coll::broadcast(ctx, &cfg, 0, &all, msg, bits)
                     .expect("valid broadcast")
                     .0
                     .len()

@@ -1,7 +1,7 @@
 //! Epoch-stamped membership acceptance suite.
 //!
-//! The contract of the survivor-view collectives
-//! (`simnet::coll::{Membership, *_over}`):
+//! The contract of the `simnet::coll` collectives called with a
+//! `Membership` view that excludes known-dead ranks:
 //!
 //! 1. a collective scheduled over the survivor view routes *around* a
 //!    crashed interior relay: every surviving member completes with a
@@ -51,7 +51,7 @@ fn broadcast_survivors(engine: &Engine) -> RunReport<Option<Vec<f32>>> {
         let msg = ctx
             .is_root()
             .then(|| WireVec((0..PAYLOAD).map(|i| i as f32 * 0.5).collect()));
-        let got = coll::broadcast_over(ctx, &cfg(), 0, &view, msg, (PAYLOAD * 32) as u64)
+        let got = coll::broadcast(ctx, &cfg(), 0, &view, msg, (PAYLOAD * 32) as u64)
             .expect("surviving members complete the broadcast");
         Some(got.0)
     })
@@ -69,7 +69,7 @@ fn allreduce_survivors(engine: &Engine) -> RunReport<Option<Vec<f32>>> {
         }
         let view = survivor_view();
         let own = WireVec(vec![(ctx.rank() + 1) as f32; PAYLOAD]);
-        let got = coll::allreduce_over(
+        let got = coll::allreduce(
             ctx,
             &cfg(),
             0,
@@ -132,7 +132,7 @@ fn non_members_are_rejected_before_any_traffic() {
     let report = Engine::new(presets::fully_heterogeneous()).run(|ctx: &mut Ctx<WireVec<f32>>| {
         let view = survivor_view();
         let msg = ctx.is_root().then(|| WireVec(vec![1.0f32; 8]));
-        let out = coll::broadcast_over(ctx, &cfg(), 0, &view, msg, 8 * 32);
+        let out = coll::broadcast(ctx, &cfg(), 0, &view, msg, 8 * 32);
         match out {
             Ok(v) => (true, v.0.len()),
             Err(CollError::NotAMember { rank }) => (false, rank),

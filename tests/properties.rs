@@ -243,7 +243,7 @@ proptest! {
     fn allreduce_agrees_with_sequential_fold(seed in 0u64..1_000, p in 2usize..12,
                                              len in 1usize..300, backend in 0usize..5) {
         use heterospec::simnet::engine::{Engine, WireVec};
-        use heterospec::simnet::{coll, presets, CollAlgorithm, CollectiveConfig};
+        use heterospec::simnet::{coll, presets, CollAlgorithm, CollectiveConfig, Membership};
         let backends = [
             CollAlgorithm::Linear,
             CollAlgorithm::BinomialTree,
@@ -256,6 +256,7 @@ proptest! {
             ..CollectiveConfig::linear()
         };
         let platform = presets::random_heterogeneous(seed, p, 3, 0.002, 0.05);
+        let all = Membership::new(p);
         let report = Engine::new(platform).run(|ctx| {
             let r = ctx.rank() as u32;
             let own: Vec<u32> = (0..len as u32).map(|i| r ^ i.wrapping_mul(2_654_435_761)).collect();
@@ -263,10 +264,12 @@ proptest! {
                 ctx,
                 &cfg,
                 0,
+                &all,
                 WireVec(own),
                 |a, b| WireVec(a.0.iter().zip(&b.0).map(|(x, y)| x.wrapping_add(*y)).collect()),
                 (len * 32) as u64,
             )
+            .expect("valid allreduce")
             .0
         });
         let expect: Vec<u32> = (0..len as u32)
@@ -288,16 +291,17 @@ proptest! {
     fn broadcast_chunking_never_changes_delivered_bytes(seed in 0u64..1_000, p in 2usize..10,
                                                         len in 1usize..500, chunks in 1u32..9) {
         use heterospec::simnet::engine::{Engine, WireVec};
-        use heterospec::simnet::{coll, presets, CollAlgorithm, CollectiveConfig};
+        use heterospec::simnet::{coll, presets, CollAlgorithm, CollectiveConfig, Membership};
         let platform = presets::random_heterogeneous(seed.wrapping_add(7), p, 3, 0.002, 0.05);
         let payload: Vec<u8> = (0..len)
             .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed as u8))
             .collect();
+        let all = &Membership::new(p);
         let deliver = |cfg: CollectiveConfig| {
             let payload = payload.clone();
             let report = Engine::new(platform.clone()).run(move |ctx| {
                 let msg = if ctx.is_root() { Some(WireVec(payload.clone())) } else { None };
-                coll::broadcast(ctx, &cfg, 0, msg, (len * 8) as u64)
+                coll::broadcast(ctx, &cfg, 0, all, msg, (len * 8) as u64)
                     .expect("valid broadcast")
                     .0
             });

@@ -8,7 +8,9 @@
 //! deep-copy at every fan-out clone, shared ones never do.
 
 use heterospec::simnet::engine::{Engine, WireVec};
-use heterospec::simnet::{coll, presets, CollAlgorithm, CollectiveConfig, Platform, Wire};
+use heterospec::simnet::{
+    coll, presets, CollAlgorithm, CollectiveConfig, Membership, Platform, Wire,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use testutil::{random_platform as platform, BACKENDS, RANK_COUNTS};
@@ -23,11 +25,12 @@ fn broadcast_owned(
     let cfg = CollectiveConfig::uniform(backend);
     let engine = Engine::new(platform.clone());
     let bits = (words * 32) as u64;
+    let all = Membership::new(platform.num_procs());
     engine.run(move |ctx| {
         let msg = ctx
             .is_root()
             .then(|| WireVec((0..words as u32).collect::<Vec<u32>>()));
-        coll::broadcast(ctx, &cfg, 0, msg, bits)
+        coll::broadcast(ctx, &cfg, 0, &all, msg, bits)
             .expect("valid broadcast")
             .0
     })
@@ -43,9 +46,10 @@ fn broadcast_shared(
     let engine = Engine::new(platform.clone());
     let bits = (words * 32) as u64;
     let payload: Arc<WireVec<u32>> = Arc::new(WireVec((0..words as u32).collect()));
+    let all = Membership::new(platform.num_procs());
     engine.run(move |ctx| {
         let msg = ctx.is_root().then(|| Arc::clone(&payload));
-        coll::broadcast(ctx, &cfg, 0, msg, bits)
+        coll::broadcast(ctx, &cfg, 0, &all, msg, bits)
             .expect("valid broadcast")
             .0
             .clone()
