@@ -3,6 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hsi_cube::metrics::{brightness, euclidean, sad, sid};
 use hsi_cube::synth::{wtc_scene, WtcConfig};
+use hsi_linalg::eigen::SymmetricEigen;
 use hsi_linalg::lstsq::FclsProblem;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
@@ -69,8 +70,10 @@ fn bench_fcls(c: &mut Criterion) {
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         let problem = FclsProblem::new(Matrix::from_rows(&refs)).unwrap();
         let px = scene.cube.pixel(1, 1).to_vec();
-        g.bench_function(format!("solve_t{t}"), |b| {
-            b.iter(|| problem.solve_f32(black_box(&px)))
+        // The UFCLS scan path: one workspace reused across pixels.
+        let mut ws = problem.workspace();
+        g.bench_function(format!("residual_t{t}"), |b| {
+            b.iter(|| problem.residual_f32(black_box(&px), &mut ws))
         });
     }
     g.finish();
@@ -107,12 +110,35 @@ fn bench_covariance(c: &mut Criterion) {
     });
 }
 
+/// PCT step 7 at AVIRIS size: the master's sequential 224×224
+/// eigendecomposition of the scene covariance.
+fn bench_eigen(c: &mut Criterion) {
+    let scene = wtc_scene(WtcConfig {
+        lines: 16,
+        samples: 16,
+        bands: 224,
+        ..Default::default()
+    });
+    let mut acc = hsi_linalg::covariance::CovarianceAccumulator::new(224);
+    for i in 0..scene.cube.num_pixels() {
+        acc.push_f32(scene.cube.pixel_flat(i));
+    }
+    let cov = acc.covariance().unwrap();
+    let mut g = c.benchmark_group("eigen");
+    g.sample_size(10);
+    g.bench_function("symmetric_224", |b| {
+        b.iter(|| SymmetricEigen::new(black_box(&cov)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_metrics,
     bench_projection,
     bench_fcls,
     bench_mei,
-    bench_covariance
+    bench_covariance,
+    bench_eigen
 );
 criterion_main!(benches);

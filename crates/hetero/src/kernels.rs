@@ -176,10 +176,10 @@ pub fn max_fcls_error(
     let t = problem.num_endmembers();
     let pixels = (range.1 - range.0) * cube.samples();
     let result = argmax_pixels(cube, range, || {
-        |px: &[f32]| {
+        let mut ws = problem.workspace();
+        move |px: &[f32]| {
             problem
-                .solve_f32(px)
-                .map(|u| u.residual_sq)
+                .residual_f32(px, &mut ws)
                 .unwrap_or(f64::NEG_INFINITY)
         }
     });

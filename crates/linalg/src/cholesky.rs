@@ -9,7 +9,11 @@ use crate::error::shape_mismatch;
 use crate::{LinAlgError, Matrix, Result};
 
 /// A lower-triangular Cholesky factor `L` with `A = L·Lᵀ`.
-#[derive(Debug, Clone)]
+///
+/// The default value is an empty factor: storage that
+/// [`factor`](Self::factor) fills and refills without reallocating, which
+/// is how the NNLS core factors one passive subsystem after another.
+#[derive(Debug, Clone, Default)]
 pub struct CholeskyDecomposition {
     l: Matrix,
 }
@@ -30,25 +34,40 @@ impl CholeskyDecomposition {
             ));
         }
         a.require_non_empty()?;
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
+        let idx: Vec<usize> = (0..a.rows()).collect();
+        let mut ch = CholeskyDecomposition::default();
+        if !ch.factor(a, &idx) {
+            return Err(LinAlgError::NotPositiveDefinite);
+        }
+        Ok(ch)
+    }
+
+    /// Factorises the principal submatrix `a[idx, idx]` into this
+    /// factor's storage, replacing what it held. Only the lower triangle
+    /// of the submatrix is read. Returns `false` on a non-positive pivot,
+    /// after which the factor must not be used for solving.
+    pub(crate) fn factor(&mut self, a: &Matrix, idx: &[usize]) -> bool {
+        let k = idx.len();
+        self.l.reset_zeros(k, k);
+        let l = self.l.as_mut_slice();
+        for i in 0..k {
+            let a_row = a.row(idx[i]);
             for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
+                let mut sum = a_row[idx[j]];
+                for (li, lj) in l[i * k..i * k + j].iter().zip(&l[j * k..j * k + j]) {
+                    sum -= li * lj;
                 }
                 if i == j {
                     if sum <= 0.0 {
-                        return Err(LinAlgError::NotPositiveDefinite);
+                        return false;
                     }
-                    l[(i, j)] = sum.sqrt();
+                    l[i * k + i] = sum.sqrt();
                 } else {
-                    l[(i, j)] = sum / l[(j, j)];
+                    l[i * k + j] = sum / l[j * k + j];
                 }
             }
         }
-        Ok(CholeskyDecomposition { l })
+        true
     }
 
     /// Dimension of the factored matrix.
@@ -62,7 +81,6 @@ impl CholeskyDecomposition {
     }
 
     /// Solves `A·x = b` via `L·y = b` then `Lᵀ·x = y`.
-    #[allow(clippy::needless_range_loop)] // indexed form mirrors the textbook algorithm
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();
         if b.len() != n {
@@ -72,21 +90,29 @@ impl CholeskyDecomposition {
             ));
         }
         let mut y = b.to_vec();
+        self.solve_in_place(&mut y);
+        Ok(y)
+    }
+
+    /// Overwrites `y` (of length [`dim`](Self::dim)) with the solution
+    /// `x` of `A·x = y`.
+    pub(crate) fn solve_in_place(&self, y: &mut [f64]) {
+        let n = self.dim();
+        let l = self.l.as_slice();
         for i in 0..n {
             let mut sum = y[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
+            for (lv, yv) in l[i * n..i * n + i].iter().zip(&y[..i]) {
+                sum -= lv * yv;
             }
-            y[i] = sum / self.l[(i, i)];
+            y[i] = sum / l[i * n + i];
         }
         for i in (0..n).rev() {
             let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * y[k];
+            for m in (i + 1)..n {
+                sum -= l[m * n + i] * y[m];
             }
-            y[i] = sum / self.l[(i, i)];
+            y[i] = sum / l[i * n + i];
         }
-        Ok(y)
     }
 
     /// Determinant of `A` (= product of squared diagonal entries of `L`).
@@ -127,6 +153,41 @@ mod tests {
         let x_lu = crate::lu::solve(&a, &b).unwrap();
         for (p, q) in x_ch.iter().zip(&x_lu) {
             assert!((p - q).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn refactoring_a_submatrix_matches_a_fresh_factor_bitwise() {
+        let a = Matrix::from_rows(&[
+            &[6.0, 2.0, 1.0, 0.5],
+            &[2.0, 5.0, 2.0, 0.3],
+            &[1.0, 2.0, 4.0, 0.7],
+            &[0.5, 0.3, 0.7, 3.0],
+        ]);
+        let b = [1.0, -2.0, 3.0, 0.25];
+        let mut reused = CholeskyDecomposition::default();
+        // Shrinking, growing and failing in between leave no trace.
+        for idx in [&[0, 1, 2, 3][..], &[1, 3], &[0, 2, 3], &[2]] {
+            assert!(reused.factor(&a, idx));
+            let mut sub = Matrix::zeros(idx.len(), idx.len());
+            for (r, &i) in idx.iter().enumerate() {
+                for (c, &j) in idx.iter().enumerate() {
+                    sub[(r, c)] = a[(i, j)];
+                }
+            }
+            let fresh = CholeskyDecomposition::new(&sub).unwrap();
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(reused.l()), bits(fresh.l()));
+            let rhs: Vec<f64> = idx.iter().map(|&i| b[i]).collect();
+            let mut y = rhs.clone();
+            reused.solve_in_place(&mut y);
+            let want = fresh.solve(&rhs).unwrap();
+            assert_eq!(
+                bits(&Matrix::row_vector(&y)),
+                bits(&Matrix::row_vector(&want))
+            );
+            let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
+            assert!(!reused.factor(&indefinite, &[0, 1]));
         }
     }
 

@@ -24,6 +24,8 @@ pub enum LinAlgError {
     },
     /// The operation requires a non-empty input.
     Empty,
+    /// The input holds a NaN or an infinity.
+    NonFinite,
 }
 
 impl fmt::Display for LinAlgError {
@@ -38,6 +40,7 @@ impl fmt::Display for LinAlgError {
                 write!(f, "no convergence after {iterations} iterations")
             }
             LinAlgError::Empty => write!(f, "operation requires a non-empty input"),
+            LinAlgError::NonFinite => write!(f, "input holds a non-finite value"),
         }
     }
 }
@@ -68,6 +71,7 @@ mod tests {
             .to_string()
             .contains('7'));
         assert!(LinAlgError::Empty.to_string().contains("non-empty"));
+        assert!(LinAlgError::NonFinite.to_string().contains("non-finite"));
     }
 
     #[test]

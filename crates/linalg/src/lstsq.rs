@@ -53,15 +53,16 @@ fn check_dims(u: &Matrix, x: &[f64]) -> Result<()> {
     Ok(())
 }
 
-fn residual_sq(u: &Matrix, x: &[f64], a: &[f64]) -> f64 {
-    // r = x − Uᵀ a, accumulated without building Uᵀ.
-    let mut r = x.to_vec();
+/// `‖x − Uᵀa‖²`, accumulated in `r` (reused scratch) without building Uᵀ.
+fn residual_sq(u: &Matrix, x: &[f64], a: &[f64], r: &mut Vec<f64>) -> f64 {
+    r.clear();
+    r.extend_from_slice(x);
     for (i, &ai) in a.iter().enumerate() {
         if ai != 0.0 {
-            crate::matrix::axpy(-ai, u.row(i), &mut r);
+            crate::matrix::axpy(-ai, u.row(i), r);
         }
     }
-    dot(&r, &r)
+    dot(r, r)
 }
 
 /// Unconstrained least squares: `a = (UUᵀ)⁻¹ U x`.
@@ -75,7 +76,7 @@ pub fn ls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
         // endmembers); if that is singular too, propagate the error.
         Err(_) => LuDecomposition::new(&gram)?.solve(&rhs)?,
     };
-    let r = residual_sq(u, x, &a);
+    let r = residual_sq(u, x, &a, &mut Vec::new());
     Ok(Unmixing {
         abundances: a,
         residual_sq: r,
@@ -104,28 +105,78 @@ pub fn scls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
         .zip(&g_inv_ones)
         .map(|(ai, gi)| ai - excess * gi)
         .collect();
-    let r = residual_sq(u, x, &a);
+    let r = residual_sq(u, x, &a, &mut Vec::new());
     Ok(Unmixing {
         abundances: a,
         residual_sq: r,
     })
 }
 
-/// Non-negative least squares by the Lawson–Hanson active-set method,
-/// operating on the precomputed Gram matrix `G = UUᵀ` and correlation
-/// vector `c = Ux`.
+/// Reusable scratch of the NNLS core: every per-pixel buffer of an
+/// unmixing (widened pixel, correlation vector, abundances, gradient,
+/// passive set, Cholesky factor, subsystem solution, residual).
+/// Unmixing a stream of pixels through one workspace performs no heap
+/// allocation after the first pixel, apart from the LU fallback for a
+/// passive subsystem that is not positive definite.
 ///
-/// Returns the abundance vector only; callers needing the residual use
-/// [`nnls`] which also reports it.
-fn nnls_gram(g: &Matrix, c: &[f64]) -> Result<Vec<f64>> {
+/// A workspace is plain scratch: it carries no result from one pixel to
+/// the next, so any workspace gives bit-identical results. Build one per
+/// thread (or per chunk of a parallel scan) with
+/// [`FclsProblem::workspace`] and pass it to [`FclsProblem::residual_f32`].
+#[derive(Debug, Clone, Default)]
+pub struct NnlsWorkspace {
+    /// The pixel widened to `f64`.
+    pixel: Vec<f64>,
+    core: NnlsScratch,
+}
+
+/// The buffers [`nnls_gram`] and the residual work in.
+#[derive(Debug, Clone, Default)]
+struct NnlsScratch {
+    /// Correlation vector `c` (input of [`nnls_gram`]).
+    c: Vec<f64>,
+    /// Abundances (output of [`nnls_gram`]).
+    a: Vec<f64>,
+    /// Gradient `w = c − G a`.
+    w: Vec<f64>,
+    /// Passive-set membership.
+    passive: Vec<bool>,
+    /// Passive indices in ascending order.
+    idx: Vec<usize>,
+    /// Cholesky factor of the passive subsystem.
+    chol: CholeskyDecomposition,
+    /// Solution of the passive subsystem.
+    z: Vec<f64>,
+    /// Residual vector `x − Uᵀa`.
+    r: Vec<f64>,
+}
+
+/// Non-negative least squares by the Lawson–Hanson active-set method,
+/// operating on the precomputed Gram matrix `G = UUᵀ` and the correlation
+/// vector `s.c = Ux`; the abundances are left in `s.a`.
+fn nnls_gram(g: &Matrix, s: &mut NnlsScratch) -> Result<()> {
+    let NnlsScratch {
+        c,
+        a,
+        w,
+        passive,
+        idx,
+        chol,
+        z,
+        ..
+    } = s;
     let t = c.len();
-    let mut passive = vec![false; t];
-    let mut a = vec![0.0; t];
+    a.clear();
+    a.resize(t, 0.0);
+    passive.clear();
+    passive.resize(t, false);
+    w.resize(t, 0.0);
 
     for _iter in 0..NNLS_MAX_ITER {
         // Gradient of ½‖x − Uᵀa‖² is w = c − G a (restricted to active set).
-        let ga = g.matvec(&a)?;
-        let w: Vec<f64> = c.iter().zip(&ga).map(|(ci, gi)| ci - gi).collect();
+        for (j, wj) in w.iter_mut().enumerate() {
+            *wj = c[j] - dot(g.row(j), a);
+        }
 
         // Pick the most violated active constraint.
         let mut best: Option<(usize, f64)> = None;
@@ -139,7 +190,7 @@ fn nnls_gram(g: &Matrix, c: &[f64]) -> Result<Vec<f64>> {
         }
         let Some((j_star, _)) = best else {
             // KKT satisfied: done.
-            return Ok(a);
+            return Ok(());
         };
         passive[j_star] = true;
 
@@ -147,20 +198,9 @@ fn nnls_gram(g: &Matrix, c: &[f64]) -> Result<Vec<f64>> {
         // if any passive coefficient goes non-positive, step back to the
         // boundary and shrink the passive set.
         loop {
-            let idx: Vec<usize> = (0..t).filter(|&j| passive[j]).collect();
-            let k = idx.len();
-            let mut sub = Matrix::zeros(k, k);
-            let mut sub_c = vec![0.0; k];
-            for (r, &jr) in idx.iter().enumerate() {
-                sub_c[r] = c[jr];
-                for (s, &js) in idx.iter().enumerate() {
-                    sub[(r, s)] = g[(jr, js)];
-                }
-            }
-            let z = match CholeskyDecomposition::new(&sub) {
-                Ok(ch) => ch.solve(&sub_c)?,
-                Err(_) => LuDecomposition::new(&sub)?.solve(&sub_c)?,
-            };
+            idx.clear();
+            idx.extend((0..t).filter(|&j| passive[j]));
+            solve_passive(g, c, idx, chol, z)?;
             if z.iter().all(|&v| v > 0.0) {
                 for (r, &jr) in idx.iter().enumerate() {
                     a[jr] = z[r];
@@ -188,7 +228,7 @@ fn nnls_gram(g: &Matrix, c: &[f64]) -> Result<Vec<f64>> {
             for (r, &jr) in idx.iter().enumerate() {
                 a[jr] += alpha * (z[r] - a[jr]);
             }
-            for &jr in &idx {
+            for &jr in idx.iter() {
                 if a[jr] <= 1e-14 {
                     a[jr] = 0.0;
                     passive[jr] = false;
@@ -201,15 +241,46 @@ fn nnls_gram(g: &Matrix, c: &[f64]) -> Result<Vec<f64>> {
     })
 }
 
+/// Solves the passive subsystem `G[idx, idx] · z = c[idx]` into `z`,
+/// factoring it in `chol`'s reused storage. A subsystem that is not
+/// positive definite (or empty) goes to LU, which allocates.
+fn solve_passive(
+    g: &Matrix,
+    c: &[f64],
+    idx: &[usize],
+    chol: &mut CholeskyDecomposition,
+    z: &mut Vec<f64>,
+) -> Result<()> {
+    let k = idx.len();
+    if k == 0 || !chol.factor(g, idx) {
+        let mut sub = Matrix::zeros(k, k);
+        for (r, &jr) in idx.iter().enumerate() {
+            for (s, &js) in idx.iter().enumerate() {
+                sub[(r, s)] = g[(jr, js)];
+            }
+        }
+        let sub_c: Vec<f64> = idx.iter().map(|&j| c[j]).collect();
+        *z = LuDecomposition::new(&sub)?.solve(&sub_c)?;
+        return Ok(());
+    }
+    z.clear();
+    z.extend(idx.iter().map(|&j| c[j]));
+    chol.solve_in_place(z);
+    Ok(())
+}
+
 /// Non-negativity constrained least squares (`aᵢ ≥ 0`).
 pub fn nnls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
     check_dims(u, x)?;
     let gram = u.matmul(&u.transpose())?;
-    let c = u.matvec(x)?;
-    let a = nnls_gram(&gram, &c)?;
-    let r = residual_sq(u, x, &a);
+    let mut s = NnlsScratch {
+        c: u.matvec(x)?,
+        ..Default::default()
+    };
+    nnls_gram(&gram, &mut s)?;
+    let r = residual_sq(u, x, &s.a, &mut s.r);
     Ok(Unmixing {
-        abundances: a,
+        abundances: s.a,
         residual_sq: r,
     })
 }
@@ -232,10 +303,16 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
     fcls_with_delta(u, x, FCLS_DELTA)
 }
 
+/// [`fcls`] with an explicit constraint weight `δ` (exposed for ablation).
+pub fn fcls_with_delta(u: &Matrix, x: &[f64], delta: f64) -> Result<Unmixing> {
+    FclsProblem::with_delta(u.clone(), delta)?.solve(x)
+}
+
 /// A prepared FCLS problem for unmixing **many** pixels against the same
 /// endmember set: the augmented Gram matrix is computed once, so the
 /// per-pixel cost drops to the correlation vector plus the NNLS solve.
-/// This is how UFCLS processes a million-pixel image.
+/// This is how UFCLS processes a million-pixel image: one
+/// [`NnlsWorkspace`] per scan, [`FclsProblem::residual_f32`] per pixel.
 #[derive(Debug, Clone)]
 pub struct FclsProblem {
     u: Matrix,
@@ -254,6 +331,9 @@ impl FclsProblem {
     pub fn with_delta(u: Matrix, delta: f64) -> Result<Self> {
         u.require_non_empty()?;
         let t = u.rows();
+        // Augmented design: each endmember row gains a trailing δ; the
+        // pixel gains a trailing δ. Gram/correlation are formed directly
+        // to avoid materialising the augmented matrix.
         let mut gram_aug = u.matmul(&u.transpose())?;
         for i in 0..t {
             for j in 0..t {
@@ -273,50 +353,66 @@ impl FclsProblem {
         self.u.cols()
     }
 
+    /// A workspace with its buffers pre-sized for this problem (the
+    /// Cholesky factor's storage grows to size over the first pixels).
+    pub fn workspace(&self) -> NnlsWorkspace {
+        let (t, n) = (self.num_endmembers(), self.bands());
+        NnlsWorkspace {
+            pixel: Vec::with_capacity(n),
+            core: NnlsScratch {
+                c: Vec::with_capacity(t),
+                a: Vec::with_capacity(t),
+                w: Vec::with_capacity(t),
+                passive: Vec::with_capacity(t),
+                idx: Vec::with_capacity(t),
+                chol: CholeskyDecomposition::default(),
+                z: Vec::with_capacity(t),
+                r: Vec::with_capacity(n),
+            },
+        }
+    }
+
+    /// Unmixes `x` in `s`, leaving the abundances in `s.a` and returning
+    /// the unaugmented squared residual.
+    fn unmix(&self, x: &[f64], s: &mut NnlsScratch) -> Result<f64> {
+        check_dims(&self.u, x)?;
+        let shift = self.delta * self.delta;
+        s.c.clear();
+        s.c.extend((0..self.u.rows()).map(|i| dot(self.u.row(i), x) + shift));
+        nnls_gram(&self.gram_aug, s)?;
+        Ok(residual_sq(&self.u, x, &s.a, &mut s.r))
+    }
+
     /// Unmixes one pixel, returning abundances and the unaugmented
     /// squared residual.
     pub fn solve(&self, x: &[f64]) -> Result<Unmixing> {
-        check_dims(&self.u, x)?;
-        let ux = self.u.matvec(x)?;
-        let c: Vec<f64> = ux.iter().map(|v| v + self.delta * self.delta).collect();
-        let a = nnls_gram(&self.gram_aug, &c)?;
-        let r = residual_sq(&self.u, x, &a);
+        let mut s = self.workspace().core;
+        let r = self.unmix(x, &mut s)?;
         Ok(Unmixing {
-            abundances: a,
+            abundances: s.a,
             residual_sq: r,
         })
     }
 
     /// Unmixes an `f32` pixel (the native cube type), widening to `f64`.
     pub fn solve_f32(&self, x: &[f32]) -> Result<Unmixing> {
-        let wide: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        self.solve(&wide)
+        let mut ws = self.workspace();
+        let r = self.residual_f32(x, &mut ws)?;
+        Ok(Unmixing {
+            abundances: ws.core.a,
+            residual_sq: r,
+        })
     }
-}
 
-/// [`fcls`] with an explicit constraint weight `δ` (exposed for ablation).
-pub fn fcls_with_delta(u: &Matrix, x: &[f64], delta: f64) -> Result<Unmixing> {
-    check_dims(u, x)?;
-    let t = u.rows();
-    let n = u.cols();
-    // Augmented design: each endmember row gains a trailing δ; the pixel
-    // gains a trailing δ. Gram/correlation computed directly to avoid
-    // materialising the augmented matrix.
-    let mut gram = u.matmul(&u.transpose())?;
-    for i in 0..t {
-        for j in 0..t {
-            gram[(i, j)] += delta * delta;
-        }
+    /// The unaugmented squared residual of one `f32` pixel — the UFCLS
+    /// error-image score — computed in `ws` without allocating. Equal
+    /// bit for bit to `solve_f32(x)?.residual_sq`.
+    pub fn residual_f32(&self, x: &[f32], ws: &mut NnlsWorkspace) -> Result<f64> {
+        let NnlsWorkspace { pixel, core } = ws;
+        pixel.clear();
+        pixel.extend(x.iter().map(|&v| v as f64));
+        self.unmix(pixel, core)
     }
-    let ux = u.matvec(x)?;
-    let c: Vec<f64> = ux.iter().map(|v| v + delta * delta).collect();
-    debug_assert_eq!(x.len(), n);
-    let a = nnls_gram(&gram, &c)?;
-    let r = residual_sq(u, x, &a);
-    Ok(Unmixing {
-        abundances: a,
-        residual_sq: r,
-    })
 }
 
 #[cfg(test)]
@@ -438,15 +534,53 @@ mod tests {
     fn fcls_problem_matches_one_shot_fcls() {
         let u = endmembers();
         let prob = FclsProblem::new(u.clone()).unwrap();
-        for a in [[0.2, 0.8], [0.9, 0.1], [0.5, 0.5]] {
-            let x = mix(&u, &a);
-            let one = fcls(&u, &x).unwrap();
-            let batch = prob.solve(&x).unwrap();
-            for (p, q) in one.abundances.iter().zip(&batch.abundances) {
-                assert!((p - q).abs() < 1e-10);
-            }
-            assert!((one.residual_sq - batch.residual_sq).abs() < 1e-12);
+        // (abundance bits, residual bits), pinned from the allocating
+        // implementation this workspace core replaced: both entry points
+        // must still produce exactly these.
+        let pinned: [([u64; 2], u64); 3] = [
+            ([0x3fc99999997a91d7, 0x3fe9999999a15b8a], 0x3bb8d302b7145800),
+            ([0x3fecccccccbd48ec, 0x3fb999999a15b8a7], 0x3bd8d302ed61ca74),
+            ([0x3fe0000000000001, 0x3fdffffffffffffe], 0x3960000000000000),
+        ];
+        for (a, want) in [[0.2, 0.8], [0.9, 0.1], [0.5, 0.5]].iter().zip(pinned) {
+            let x = mix(&u, a);
+            let bits = |r: &Unmixing| {
+                let a: Vec<u64> = r.abundances.iter().map(|v| v.to_bits()).collect();
+                (a, r.residual_sq.to_bits())
+            };
+            let want = (want.0.to_vec(), want.1);
+            assert_eq!(bits(&fcls(&u, &x).unwrap()), want);
+            assert_eq!(bits(&prob.solve(&x).unwrap()), want);
         }
+    }
+
+    #[test]
+    fn workspace_residual_matches_solve_f32_bitwise() {
+        let u = Matrix::from_rows(&[
+            &[1.0, 0.8, 0.6, 0.4, 0.2],
+            &[0.1, 0.3, 0.5, 0.7, 0.9],
+            &[0.5, 0.1, 0.9, 0.2, 0.4],
+        ]);
+        let prob = FclsProblem::new(u.clone()).unwrap();
+        // A default workspace is as good as a pre-sized one, and carrying
+        // one across pixels (and across problems) changes no bit.
+        let mut ws = NnlsWorkspace::default();
+        let small = FclsProblem::new(endmembers()).unwrap();
+        for a in [
+            [0.2, 0.3, 0.5],
+            [1.2, -0.4, 0.1],
+            [0.0, 0.0, 1.0],
+            [3.0, 2.0, 1.0],
+        ] {
+            let x: Vec<f32> = mix(&u, &a).iter().map(|&v| v as f32).collect();
+            let want = prob.solve_f32(&x).unwrap().residual_sq;
+            let got = prob.residual_f32(&x, &mut ws).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits());
+            let want_small = small.solve_f32(&x).unwrap().residual_sq;
+            let got_small = small.residual_f32(&x, &mut ws).unwrap();
+            assert_eq!(got_small.to_bits(), want_small.to_bits());
+        }
+        assert!(prob.residual_f32(&[0.5; 4], &mut ws).is_err());
     }
 
     #[test]

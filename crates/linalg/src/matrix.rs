@@ -13,7 +13,7 @@ use std::ops::{Index, IndexMut};
 /// A dense, row-major matrix of `f64` values.
 ///
 /// Indexing is `(row, col)`; storage is `data[row * cols + col]`.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -28,6 +28,15 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
+    }
+
+    /// Reshapes to `rows × cols` and fills with zeros, reusing the
+    /// existing allocation where it is large enough.
+    pub(crate) fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Creates the `n × n` identity matrix.
